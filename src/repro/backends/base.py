@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,7 +93,8 @@ class BackendCapabilities:
     batchable:
         Whether the batched replica engine
         (:mod:`repro.annealer.batched`) applies; only the clustered
-        CIM annealer is batchable today.
+        CIM annealer is batchable today (and only on TSP plans, see
+        :meth:`SolverBackend.can_batch`).
     accepts_config:
         Whether the backend consumes an ``AnnealerConfig``; requests
         carrying one for a backend that does not are rejected.
@@ -190,6 +191,17 @@ class SolverBackend(ABC):
     @abstractmethod
     def solve(self, plan: BackendPlan, seed: int) -> RunResultLike:
         """Solve one seed of a compiled plan."""
+
+    def can_batch(self, plan: BackendPlan) -> bool:
+        """Whether :meth:`solve_batch` runs ``plan``'s seeds as one
+        vectorised solve; the executor then dispatches seed groups."""
+        return self.capabilities().batchable
+
+    def solve_batch(
+        self, plan: BackendPlan, seeds: List[int]
+    ) -> List[RunResultLike]:
+        """Solve a group of seeds, each bit-identical to :meth:`solve`."""
+        return [self.solve(plan, seed) for seed in seeds]
 
     @abstractmethod
     def validate_result(

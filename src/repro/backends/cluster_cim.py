@@ -1,19 +1,19 @@
 """The default backend: the paper's clustered CIM annealer.
 
-Thin adapter only — the ensemble executor keeps dispatching default
-TSP requests through its original ``_solve_one`` worker path
-(bit-identical to every pre-registry release, and what the test suite
-monkeypatches), so this class exists to give the default the same
-capability surface, reference, and integrity gate as every other
-registrant.  Compiled QUBO plans (graph coloring, knapsack, Max-SAT —
-:mod:`repro.problems`) anneal with the op-counted chromatic-parallel
-Gibbs kernel, the same odd/even independent-set update the clustered
-hardware path uses; those flow through the executor's registry route.
+Thin adapter only — TSP seeds run through the executor's module-level
+``_solve_one`` (and seed groups through ``_solve_batch``, the batched
+replica engine), so results stay bit-identical to a direct
+:class:`~repro.annealer.hierarchical.ClusteredCIMAnnealer` call and
+tests can monkeypatch the worker seam.  The executor dispatches the
+default exactly like every other registrant.  Compiled QUBO plans
+(graph coloring, knapsack, Max-SAT — :mod:`repro.problems`) anneal
+with the op-counted chromatic-parallel Gibbs kernel, the same odd/even
+independent-set update the clustered hardware path uses.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.backends.base import (
     BackendCapabilities,
@@ -92,8 +92,8 @@ class ClusterCIMBackend(SolverBackend):
 
         if isinstance(plan.problem, QUBOProblem):
             return _solve_qubo_chromatic(plan.problem, seed)
-        # Same worker function the executor's default path uses, so a
-        # registry-routed solve stays bit-identical to a direct one.
+        # The executor's module-level seam: bit-identical to a direct
+        # annealer call, and where tests script worker failures.
         from repro.runtime.executor import _solve_one
         from repro.tsp.instance import TSPInstance
 
@@ -101,6 +101,22 @@ class ClusterCIMBackend(SolverBackend):
         assert plan.config is not None
         result: RunResultLike = _solve_one(plan.problem, plan.config, seed)
         return result
+
+    def can_batch(self, plan: BackendPlan) -> bool:
+        from repro.tsp.instance import TSPInstance
+
+        # Only the clustered TSP pipeline has a batched replica engine.
+        return isinstance(plan.problem, TSPInstance)
+
+    def solve_batch(
+        self, plan: BackendPlan, seeds: List[int]
+    ) -> List[RunResultLike]:
+        from repro.runtime.executor import _solve_batch
+        from repro.tsp.instance import TSPInstance
+
+        assert isinstance(plan.problem, TSPInstance)
+        assert plan.config is not None
+        return list(_solve_batch(plan.problem, plan.config, seeds))
 
     def validate_result(
         self, problem: ProblemLike, result: RunResultLike

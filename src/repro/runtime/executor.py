@@ -1,24 +1,37 @@
 """Process-pool ensemble executor.
 
-Fans :meth:`repro.annealer.hierarchical.ClusteredCIMAnnealer.solve`
-out across worker processes, one run per seed (or, with
-``options.batch_size > 1``, one *batched* vectorised solve per group
-of seeds via :func:`repro.annealer.batched.solve_batch` — bit-identical
-results, one :class:`RunTelemetry` per seed either way):
+Fans one solve per seed out across worker processes.  Every request is
+compiled once, on the dispatching side, by its
+:class:`~repro.backends.base.SolverBackend`, and becomes a list of
+*work units* ``(backend name, compiled plan, seed group)``; a single
+dispatch loop runs them all:
 
+* **One worker entry point** — :func:`_solve_unit` resolves the backend
+  by registry name worker-side and solves the unit, so only a string,
+  the picklable :class:`~repro.backends.base.BackendPlan` and plain
+  ints cross the pool boundary.  The default ``cluster-cim`` backend
+  takes the same route (its ``solve`` calls :func:`_solve_one`, so
+  results stay bit-identical to a direct annealer call).
+* **Batching is a unit size** — a unit holds one seed, or, with
+  ``options.batch_size > 1`` and a backend whose ``can_batch`` accepts
+  the plan, a group of seeds solved as one vectorised batch (for the
+  clustered annealer, :func:`repro.annealer.batched.solve_batch`,
+  bit-identical per seed).  One :class:`RunTelemetry` per seed either
+  way; the per-run ``timeout_s`` budget scales by the group size.
 * **Deterministic ordering** — results come back keyed by seed and are
   reassembled in the caller's seed order, so the output is bit-identical
   to the serial path no matter which worker finishes first (each run is
   fully determined by its seed).
-* **Chunked dispatch** — seeds are submitted in bounded waves
+* **Chunked dispatch** — units are submitted in bounded waves
   (``chunk_size``, default ``2 × max_workers``) so a 10 000-seed
-  ensemble never materialises 10 000 pickled instances at once.
+  ensemble never materialises 10 000 pickled plans at once.
 * **Failure isolation** — a run that raises, times out
   (``timeout_s``), or returns a corrupted payload (integrity-checked
-  at the pool boundary by :func:`repro.runtime.faults.validate_result`)
-  is retried in-process, up to ``max_retries`` extra attempts paced by
-  a bounded, jittered :class:`~repro.runtime.faults.Backoff`, without
-  disturbing its siblings; terminal failures surface as structured
+  at the pool boundary by the backend's ``validate_result``) is
+  retried in-process by :meth:`EnsembleExecutor._attempt_serial`, up to
+  ``max_retries`` extra attempts paced by a bounded, jittered
+  :class:`~repro.runtime.faults.Backoff`, without disturbing its
+  siblings; terminal failures surface as structured
   :class:`~repro.runtime.telemetry.RunTelemetry` records with
   ``ok=False`` instead of poisoning the whole ensemble, unless
   ``strict`` asks for an :class:`~repro.errors.AnnealerError`.
@@ -30,15 +43,17 @@ results, one :class:`RunTelemetry` per seed either way):
   ``on_pool_broken`` callback (the serving runtime's budget applies).
   Hung pool futures are cancelled when possible; an uncancellable one
   is accounted as an occupied slot until its worker finishes.
-* **Graceful degradation** — ``max_workers=1``, a missing
+* **Serial is the same loop** — ``max_workers=1``, a missing
   ``concurrent.futures`` pool, or an exhausted self-heal budget all
-  fall back to the plain serial loop; callers never have to care.
+  submit into an inline executor instead, which runs each unit
+  in-process when it is collected; callers never have to care.
 * **Chaos injection** — an :class:`~repro.runtime.faults.FaultPlan` in
-  the options routes every attempt through
-  :func:`_solve_one_injected`, which injects seeded worker-crash /
-  hang / corrupted-result / broken-pool faults; the dispatch side
-  accounts each observed injection in ``RunTelemetry.faults_injected``
-  (see ``docs/robustness.md``).
+  the options pins units to one seed and wraps every attempt of
+  :func:`_solve_unit` in a :class:`~repro.runtime.faults.FaultInjector`,
+  which injects seeded worker-crash / hang / corrupted-result /
+  broken-pool faults; the dispatch side accounts each observed
+  injection in ``RunTelemetry.faults_injected`` (see
+  ``docs/robustness.md``).
 * **Incremental surfacing** — an ``on_run_complete`` callback fires
   with each :class:`RunTelemetry` record as it lands, which is how the
   serving runtime (:mod:`repro.runtime.service`) streams telemetry
@@ -49,27 +64,19 @@ results, one :class:`RunTelemetry` per seed either way):
 Tuning lives in a frozen
 :class:`~repro.runtime.options.EnsembleOptions`; the pre-1.1 per-field
 keyword form (``EnsembleExecutor(max_workers=4)``) was removed in 1.2
-after its one-release deprecation window.
-
-The executor is also solver-agnostic about *which* solver runs:
-``run(backend="...")`` dispatches every attempt through the named
-:class:`~repro.backends.base.SolverBackend` (resolved worker-side from
-its registry name, so only strings and picklable problem payloads
-cross the pool boundary), while the default ``"cluster-cim"`` backend
-keeps the exact pre-registry path — bit-identical results.  It is
-deliberately agnostic about aggregation too: it returns the ordered
+after its one-release deprecation window.  The executor is agnostic
+about aggregation: it returns the ordered
 :class:`~repro.runtime.telemetry.RunResultLike` list plus an
 :class:`~repro.runtime.telemetry.EnsembleTelemetry`;
 :func:`repro.annealer.batch.solve_ensemble` layers the quality
-statistics on top.  ``_solve_one`` and the dispatch helpers
-(``_run_serial`` / ``_run_pool`` / ``_attempt_serial``) are internal:
-only :meth:`EnsembleExecutor.run` is supported API.
+statistics on top.  Only :meth:`EnsembleExecutor.run` is supported
+API; the worker functions and dispatch helpers are internal.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -90,7 +97,6 @@ from repro.runtime.faults import (
     FaultPlan,
     InjectedFault,
     ResultIntegrityError,
-    validate_result,
 )
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.telemetry import (
@@ -106,28 +112,13 @@ if TYPE_CHECKING:  # import cycle: repro.annealer.batch uses this module
 
     from repro.annealer.config import AnnealerConfig
     from repro.annealer.result import AnnealResult
-    from repro.backends.base import ProblemLike
+    from repro.backends.base import BackendPlan, ProblemLike, SolverBackend
     from repro.tsp.instance import TSPInstance
 
 #: Mirrors :data:`repro.backends.DEFAULT_BACKEND`.  Kept as a literal:
 #: this module must not import :mod:`repro.backends` at import time
 #: (the registrant modules sit above the runtime layer).
 _DEFAULT_BACKEND = "cluster-cim"
-
-def _default_path(instance: object, backend: str) -> bool:
-    """Does the pre-registry clustered-TSP dispatch path apply?
-
-    The default backend's original ``_solve_one`` worker path (and the
-    batched replica engine) only speaks TSP; a ``cluster-cim`` request
-    carrying any other payload kind (e.g. a compiled QUBO plan) routes
-    through the registry like a named backend would.
-    """
-    if backend != _DEFAULT_BACKEND:
-        return False
-    from repro.tsp.instance import TSPInstance
-
-    return isinstance(instance, TSPInstance)
-
 
 #: Fires with each run's telemetry record the moment it is final.
 RunCallback = Callable[[RunTelemetry], None]
@@ -136,13 +127,18 @@ RunCallback = Callable[[RunTelemetry], None]
 #: None when the owner's self-heal budget is spent (degrade serially).
 PoolHealer = Callable[["Executor"], Optional["Executor"]]
 
+#: One settled seed: its result (None when the run failed) + record.
+Settled = Tuple[Optional[RunResultLike], RunTelemetry]
+
 
 def _solve_one(
     instance: TSPInstance, config: AnnealerConfig, seed: int
 ) -> RunResultLike:
-    """Worker entry point: one full solve for one seed.
+    """One clustered-CIM solve for one seed.
 
-    Module-level (not a closure) so it pickles into pool workers.
+    :meth:`repro.backends.cluster_cim.ClusterCIMBackend.solve` runs
+    every default TSP seed through this module-level name, which is
+    the seam tests monkeypatch to script worker failures.
     """
     # Imported here so a worker process only pays for what it uses.
     from repro.annealer.hierarchical import ClusteredCIMAnnealer
@@ -151,80 +147,105 @@ def _solve_one(
     return ClusteredCIMAnnealer(cfg).solve(instance)
 
 
-def _solve_backend_one(
-    backend: str,
-    problem: "ProblemLike",
-    config: Optional[AnnealerConfig],
-    seed: int,
-) -> RunResultLike:
-    """Worker entry point: one named-backend solve for one seed.
-
-    Module-level (not a closure) so it pickles into pool workers; the
-    backend is resolved by registry name *inside* the worker, so only
-    the name string and the picklable problem payload ever cross the
-    process boundary.
-    """
-    from repro.backends import resolve_backend
-
-    impl = resolve_backend(backend)
-    return impl.solve(impl.compile(problem, config), int(seed))
-
-
 def _solve_batch(
     instance: TSPInstance, config: AnnealerConfig, seeds: List[int]
 ) -> List[AnnealResult]:
-    """Worker entry point: one batched solve for a group of seeds.
+    """One batched clustered-CIM solve for a group of seeds.
 
-    Module-level (not a closure) so it pickles into pool workers; the
-    batched replica engine guarantees each returned result is
-    bit-identical to :func:`_solve_one` for the same seed.
+    The batched replica engine guarantees each returned result is
+    bit-identical to :func:`_solve_one` for the same seed;
+    ``ClusterCIMBackend.solve_batch`` calls it through this seam.
     """
     from repro.annealer.batched import solve_batch
 
     return solve_batch(instance, config, seeds)
 
 
-def _solve_one_injected(
-    instance: TSPInstance,
-    config: AnnealerConfig,
-    seed: int,
-    plan: FaultPlan,
-    attempt: int,
-    in_pool: bool,
-) -> RunResultLike:
-    """Worker entry point under an active chaos :class:`FaultPlan`.
-
-    Module-level and fed only picklable arguments, like
-    :func:`_solve_one` (which it wraps, so test monkeypatching of the
-    real solve still applies under chaos).
-    """
-    injector = FaultInjector(plan)
-    injector.pre_solve(seed, attempt, in_pool=in_pool)
-    result = _solve_one(instance, config, seed)
-    return injector.post_solve(seed, attempt, result)
-
-
-def _solve_backend_injected(
+def _solve_unit(
     backend: str,
-    problem: "ProblemLike",
-    config: Optional[AnnealerConfig],
-    seed: int,
-    plan: FaultPlan,
-    attempt: int,
-    in_pool: bool,
-) -> RunResultLike:
-    """Named-backend worker entry point under an active chaos plan.
+    plan: BackendPlan,
+    seeds: List[int],
+    chaos: Optional[FaultPlan] = None,
+    attempt: int = 0,
+    in_pool: bool = False,
+) -> List[RunResultLike]:
+    """Worker entry point: solve one work unit, one result per seed.
 
-    The chaos layer is backend-agnostic: crash/hang/broken-pool faults
-    fire before the solve, and the corrupt fault tampers the returned
-    result through the :class:`~repro.runtime.telemetry.RunResultLike`
-    surface, so each backend's ``validate_result`` gate is exercised
-    exactly like the default path's.
+    Module-level (not a closure) so it pickles into pool workers; the
+    backend is resolved by registry name *inside* the worker.  A unit
+    of several seeds is one batched solve.  Under a chaos plan (units
+    are then single seeds) the solve is wrapped in the plan's
+    :class:`~repro.runtime.faults.FaultInjector`: crash / hang /
+    broken-pool faults fire before it, and the corrupt fault tampers
+    its result, so each backend's ``validate_result`` gate is
+    exercised the same way.
     """
-    injector = FaultInjector(plan)
+    from repro.backends import resolve_backend
+
+    impl = resolve_backend(backend)
+    if len(seeds) > 1:
+        return impl.solve_batch(plan, seeds)
+    seed = seeds[0]
+    if chaos is None:
+        return [impl.solve(plan, seed)]
+    injector = FaultInjector(chaos)
     injector.pre_solve(seed, attempt, in_pool=in_pool)
-    result = _solve_backend_one(backend, problem, config, seed)
-    return injector.post_solve(seed, attempt, result)
+    return [injector.post_solve(seed, attempt, impl.solve(plan, seed))]
+
+
+class _InlineFuture:
+    """An inline-submitted unit: it runs in-process when collected, so
+    the cancel and breaker checks before each unit precede its solve.
+    Inline runs never wait, so ``timeout`` is moot."""
+
+    def __init__(
+        self, fn: Callable[..., List[RunResultLike]], args: Tuple[Any, ...]
+    ) -> None:
+        self._fn = fn
+        self._args = args
+
+    def result(self, timeout: Optional[float] = None) -> List[RunResultLike]:
+        return self._fn(*self._args)
+
+
+class _InlineExecutor:
+    """The serial "pool": same ``submit`` call, deferred in-process run."""
+
+    def submit(
+        self, fn: Callable[..., List[RunResultLike]], *args: Any
+    ) -> _InlineFuture:
+        return _InlineFuture(fn, args)
+
+
+_INLINE = _InlineExecutor()
+
+
+@dataclass(frozen=True)
+class _Work:
+    """What every unit of one :meth:`EnsembleExecutor.run` shares.
+
+    Per-call, never stored on the executor: one executor instance may
+    serve concurrent ``run()`` calls.
+    """
+
+    backend: str
+    impl: SolverBackend
+    plan: BackendPlan
+    reference: Optional[float]
+    breaker: Optional[CircuitBreaker]
+    on_run_complete: Optional[RunCallback]
+    worker_prefix: str
+    worker_suffix: str
+
+    def worker(self, where: str) -> str:
+        """The ``worker`` label for a run settled ``where``."""
+        return f"{self.worker_prefix}{where}{self.worker_suffix}"
+
+    def emit(self, record: RunTelemetry) -> None:
+        """Stamp the backend and surface one final record."""
+        record.backend = self.backend
+        if self.on_run_complete is not None:
+            self.on_run_complete(record)
 
 
 class _PoolSupervisor:
@@ -340,34 +361,8 @@ class EnsembleExecutor:
     def __init__(self, options: Optional[EnsembleOptions] = None) -> None:
         self.options = options if options is not None else EnsembleOptions()
 
-    # -- legacy read access (the pre-1.1 dataclass exposed the fields) --
     @property
-    def max_workers(self) -> int:
-        """Pool width (see :class:`EnsembleOptions`)."""
-        return self.options.max_workers
-
-    @property
-    def timeout_s(self) -> Optional[float]:
-        """Per-run wall-clock budget (see :class:`EnsembleOptions`)."""
-        return self.options.timeout_s
-
-    @property
-    def max_retries(self) -> int:
-        """Retry budget (see :class:`EnsembleOptions`)."""
-        return self.options.max_retries
-
-    @property
-    def chunk_size(self) -> Optional[int]:
-        """Dispatch wave size (see :class:`EnsembleOptions`)."""
-        return self.options.chunk_size
-
-    @property
-    def strict(self) -> bool:
-        """Raise on terminal run failure (see :class:`EnsembleOptions`)."""
-        return self.options.strict
-
-    @property
-    def _plan(self) -> Optional[FaultPlan]:
+    def _chaos(self) -> Optional[FaultPlan]:
         """The active chaos plan, or None."""
         plan = self.options.fault_plan
         return plan if plan is not None and plan.enabled else None
@@ -398,13 +393,11 @@ class EnsembleExecutor:
         ----------
         backend:
             Registry name of the solver backend to dispatch to
-            (:func:`repro.backends.list_backends`).  The default
-            clustered CIM annealer keeps the exact pre-registry
-            dispatch path — bit-identical results — while named
-            backends route every attempt through
-            :func:`_solve_backend_one` and their own
-            ``validate_result`` integrity gate.  Every emitted
-            :class:`RunTelemetry` record is stamped with this name.
+            (:func:`repro.backends.list_backends`).  Its ``compile``
+            runs once, here; every attempt then runs its ``solve``
+            (worker-side) and its ``validate_result`` integrity gate
+            (dispatch-side).  Every emitted :class:`RunTelemetry`
+            record is stamped with this name.
         on_run_complete:
             Called with each run's final :class:`RunTelemetry` as it is
             produced (in collection order), while later seeds are still
@@ -428,11 +421,12 @@ class EnsembleExecutor:
             A ``threading.Event``; once set, no further seeds are
             dispatched and the run raises
             :class:`~repro.errors.AnnealerError`.  In-flight seeds
-            finish first (cancellation is cooperative).
+            finish first (cancellation is cooperative): it is checked
+            before every in-process unit and before every pool wave.
         breaker:
             A per-ensemble :class:`~repro.runtime.faults.CircuitBreaker`;
-            consulted before each seed dispatch and fed every terminal
-            run outcome.  Once open, the run raises
+            consulted before each seed is collected and fed every
+            terminal run outcome.  Once open, the run raises
             :class:`~repro.runtime.faults.CircuitOpenError` instead of
             burning the remaining seeds.
         on_pool_broken:
@@ -450,101 +444,53 @@ class EnsembleExecutor:
             options=self.options,
             backend=backend,
         )
+        from repro.backends import resolve_backend
+
+        impl = resolve_backend(backend)
+        work = _Work(
+            backend=backend,
+            impl=impl,
+            plan=impl.compile(instance, config),
+            reference=reference,
+            breaker=breaker,
+            on_run_complete=on_run_complete,
+            worker_prefix=worker_prefix,
+            worker_suffix=worker_suffix,
+        )
+        # Batching is a pure throughput path: an active fault plan
+        # needs per-seed attempt accounting, so it pins units to one
+        # seed, as does a backend that cannot batch this plan.
+        size = 1
+        if self._chaos is None and impl.can_batch(work.plan):
+            size = self.options.batch_size
         ordered = list(request.seeds)
-        if config is None and _default_path(instance, backend):
-            from repro.annealer.config import AnnealerConfig
-
-            config = AnnealerConfig()
-
-        # Every record funnels through _emit exactly once; stamping in
-        # the callback keeps the executor free of per-run mutable state
-        # (one instance may serve concurrent run() calls).
-        user_callback = on_run_complete
-
-        def stamp_backend(record: RunTelemetry) -> None:
-            record.backend = backend
-            if user_callback is not None:
-                user_callback(record)
-
-        on_run_complete = stamp_backend
+        units = [ordered[i : i + size] for i in range(0, len(ordered), size)]
 
         watch = Stopwatch()
-        rebuilds = 0
-        # Batched dispatch is a pure throughput path: an active fault
-        # plan needs per-seed attempt accounting, so it pins batch=1;
-        # only the default backend speaks the batched replica engine.
-        batching = (
-            self.options.batch_size > 1
-            and self._plan is None
-            and _default_path(instance, backend)
+        supervisor = _PoolSupervisor(
+            pool,
+            max_workers=self.options.max_workers,
+            budget=self.options.self_heal_budget,
+            on_pool_broken=on_pool_broken,
         )
-        if batching:
-            from repro.tsp.instance import TSPInstance
-
-            assert isinstance(instance, TSPInstance)
-            assert config is not None
-            if self.max_workers == 1 and pool is None:
-                by_seed, mode = self._run_serial_batched(
-                    instance,
-                    ordered,
-                    config,
-                    reference,
-                    on_run_complete=on_run_complete,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    cancel=cancel,
-                    breaker=breaker,
-                )
-            else:
-                by_seed, mode, rebuilds = self._run_pool_batched(
-                    instance,
-                    ordered,
-                    config,
-                    reference,
-                    on_run_complete=on_run_complete,
-                    pool=pool,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    cancel=cancel,
-                    breaker=breaker,
-                    on_pool_broken=on_pool_broken,
-                )
-        elif self.max_workers == 1 and pool is None:
-            by_seed, mode = self._run_serial(
-                instance,
-                ordered,
-                config,
-                reference,
-                on_run_complete=on_run_complete,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-                backend=backend,
-            )
+        if pool is None and self.options.max_workers == 1:
+            inline, mode = True, "serial"
+        elif supervisor.owns_pool and not supervisor.build():
+            inline, mode = True, "serial-fallback"
         else:
-            by_seed, mode, rebuilds = self._run_pool(
-                instance,
-                ordered,
-                config,
-                reference,
-                on_run_complete=on_run_complete,
-                pool=pool,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-                on_pool_broken=on_pool_broken,
-                backend=backend,
+            inline, mode = False, "parallel"
+        try:
+            by_seed, degraded = self._dispatch(
+                work, units, supervisor, inline, cancel
             )
-        wall = watch.elapsed_s()
-
+        finally:
+            supervisor.shutdown()
         telemetry = EnsembleTelemetry(
             runs=[by_seed[s][1] for s in ordered],
-            max_workers=self.max_workers,
-            mode=mode,
-            wall_time_s=wall,
-            pool_rebuilds=rebuilds,
+            max_workers=self.options.max_workers,
+            mode="serial-fallback" if degraded else mode,
+            wall_time_s=watch.elapsed_s(),
+            pool_rebuilds=supervisor.rebuilds,
             backend=backend,
         )
         results = [
@@ -560,533 +506,227 @@ class EnsembleExecutor:
                 f"ensemble cancelled after {done}/{total} runs"
             )
 
-    @staticmethod
-    def _check_breaker(
-        breaker: Optional[CircuitBreaker], seed: int
-    ) -> None:
-        if breaker is not None:
-            breaker.check(f"run for seed {seed}")
-
-    @staticmethod
-    def _emit(
-        on_run_complete: Optional[RunCallback], record: RunTelemetry
-    ) -> None:
-        if on_run_complete is not None:
-            on_run_complete(record)
-
-    def _invoke(
+    def _dispatch(
         self,
-        instance: "ProblemLike",
-        config: Optional[AnnealerConfig],
-        seed: int,
-        attempt: int,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> RunResultLike:
-        """One in-process solve attempt (chaos-wrapped when planned)."""
-        plan = self._plan
-        if not _default_path(instance, backend):
-            if plan is not None:
-                return _solve_backend_injected(
-                    backend, instance, config, seed, plan, attempt, False
-                )
-            return _solve_backend_one(backend, instance, config, seed)
-        from repro.tsp.instance import TSPInstance
+        work: _Work,
+        units: List[List[int]],
+        supervisor: _PoolSupervisor,
+        inline: bool,
+        cancel: Optional["Event"],
+    ) -> Tuple[Dict[int, Settled], bool]:
+        """The dispatch loop: waves of units, pooled or inline.
 
-        assert isinstance(instance, TSPInstance)
-        assert config is not None
-        if plan is not None:
-            return _solve_one_injected(
-                instance, config, seed, plan, attempt, False
-            )
-        return _solve_one(instance, config, seed)
-
-    @staticmethod
-    def _validate(
-        instance: "ProblemLike", result: RunResultLike, backend: str
-    ) -> None:
-        """Integrity-check one result at the dispatch boundary.
-
-        The default backend keeps the exact pre-registry gate
-        (:func:`repro.runtime.faults.validate_result`); named backends
-        supply their own recomputation via
-        :meth:`~repro.backends.base.SolverBackend.validate_result`.
+        Returns every seed's settled outcome and whether the pool
+        degraded to in-process dispatch mid-run.
         """
-        if _default_path(instance, backend):
-            from repro.tsp.instance import TSPInstance
+        from concurrent.futures import TimeoutError as FuturesTimeout
+        from concurrent.futures.process import BrokenProcessPool
 
-            assert isinstance(instance, TSPInstance)
-            validate_result(instance, result)
-            return
-        from repro.backends import resolve_backend
+        chaos = self._chaos
+        timeout = self.options.timeout_s
+        chunk = self.options.chunk_size or 2 * self.options.max_workers
+        total = sum(len(unit) for unit in units)
+        by_seed: Dict[int, Settled] = {}
+        degraded = False
+        for lo in range(0, len(units), chunk):
+            self._check_cancel(cancel, len(by_seed), total)
+            wave = units[lo : lo + chunk]
+            futures = (
+                None if inline else self._submit(supervisor.pool, work, wave)
+            )
+            wave_inline = futures is None
+            if futures is None:
+                if not inline and not supervisor.heal():
+                    # The pool refused the wave (broken / shut down by a
+                    # sibling) and cannot be healed: the rest of the
+                    # ensemble runs in-process.  A healed pool takes the
+                    # *next* wave; this one finishes in-process.
+                    inline = degraded = True
+                futures = self._submit(_INLINE, work, wave)
+                assert futures is not None
+            where = "serial" if wave_inline else "pool"
+            pool_broke = False
+            for unit, fut in zip(wave, futures):
+                if wave_inline:
+                    self._check_cancel(cancel, len(by_seed), total)
+                if work.breaker is not None:
+                    for seed in unit:
+                        work.breaker.check(f"run for seed {seed}")
+                kind = chaos.fault_for(unit[0], 0) if chaos else None
+                results: List[Optional[RunResultLike]] = [None] * len(unit)
+                error: Optional[BaseException] = None
+                hung = False
+                budget = None if timeout is None else timeout * len(unit)
+                try:
+                    results = list(fut.result(timeout=budget))
+                except AnnealerError:
+                    raise  # configuration errors are not transient: fail loud
+                except Exception as exc:  # noqa: BLE001 — isolate faults
+                    error = exc
+                    if isinstance(exc, BrokenProcessPool):
+                        pool_broke = True
+                    elif isinstance(exc, FuturesTimeout) and not wave_inline:
+                        # Reclaim the worker slot if the unit never
+                        # started; a running (hung) worker cannot be
+                        # cancelled and occupies its slot until done.
+                        hung = not fut.cancel()
+                        if hung:
+                            supervisor.note_hung(fut)
+                        what = "run" if len(unit) == 1 else (
+                            f"batch of {len(unit)} runs"
+                        )
+                        error = TimeoutError(
+                            f"{what} exceeded {budget}s in pool"
+                        )
+                for seed, result in zip(unit, results):
+                    by_seed[seed] = self._settle(
+                        work, seed, result, error, kind, hung, where
+                    )
+                    work.emit(by_seed[seed][1])
+            if not inline and (pool_broke or supervisor.starved()):
+                # Self-heal: replace the broken/starved pool within the
+                # budget instead of degrading for good.
+                if not supervisor.heal():
+                    inline = degraded = True
+        return by_seed, degraded
 
-        resolve_backend(backend).validate_result(instance, result)
+    def _submit(
+        self, executor: Any, work: _Work, wave: List[List[int]]
+    ) -> Optional[List[Any]]:
+        """Submit one wave of units; None when the pool refuses.
+
+        A partial submission (pool breaking mid-wave) abandons the
+        already-submitted futures — their seeds are re-run in-process
+        by the caller, which is deterministic because every run is a
+        pure function of its seed.
+        """
+        in_pool = executor is not _INLINE
+        try:
+            return [
+                executor.submit(
+                    _solve_unit,
+                    work.backend,
+                    work.plan,
+                    unit,
+                    self._chaos,
+                    0,
+                    in_pool,
+                )
+                for unit in wave
+            ]
+        # A borrowed pool can be shut down or broken by a sibling job
+        # mid-flight; the caller heals or degrades.
+        except Exception:  # repro-lint: ignore[RL005]
+            return None
+
+    def _settle(
+        self,
+        work: _Work,
+        seed: int,
+        result: Optional[RunResultLike],
+        error: Optional[BaseException],
+        kind: Optional[FaultKind],
+        hung: bool,
+        where: str,
+    ) -> Settled:
+        """Validate one seed's first attempt; retry it when it failed."""
+        if error is None:
+            assert result is not None
+            try:
+                work.impl.validate_result(work.plan.problem, result)
+            except AnnealerError:
+                raise
+            except Exception as exc:  # noqa: BLE001 — isolate worker faults
+                error = exc
+        # In-process execution is certain: the scheduled fault ran.  A
+        # pool attempt accounts it only when its outcome shows it.
+        faults = (
+            [kind.value]
+            if kind is not None
+            and (where == "serial" or self._fault_observed(kind, error, hung))
+            else []
+        )
+        if error is not None:
+            return self._attempt_serial(work, seed, error, faults)
+        assert result is not None
+        if work.breaker is not None:
+            work.breaker.record_success()
+        return result, RunTelemetry.from_result(
+            seed,
+            result,
+            work.reference,
+            worker=work.worker(where),
+            faults_injected=faults,
+        )
 
     def _attempt_serial(
         self,
-        instance: "ProblemLike",
+        work: _Work,
         seed: int,
-        config: Optional[AnnealerConfig],
-        reference: Optional[float],
-        first_error: Optional[BaseException] = None,
-        attempts_used: int = 0,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        faults: Optional[List[str]] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Tuple[Optional[RunResultLike], RunTelemetry]:
-        """Run one seed in-process with the retry budget that is left.
+        first_error: BaseException,
+        faults: List[str],
+    ) -> Settled:
+        """Retry one seed in-process with the retry budget that is left.
 
-        Retries are paced by a bounded, deterministically jittered
-        :class:`Backoff`; the first failure (possibly handed in from a
-        pool attempt via ``first_error``) is preserved in the record's
-        ``first_error`` field even when a later attempt recovers.
+        The one retry path, whether the first attempt failed inline or
+        in the pool.  Retries are paced by a bounded, deterministically
+        jittered :class:`Backoff`; the first failure is preserved in the
+        record's ``first_error`` field even when a later attempt
+        recovers.
         """
-        plan = self._plan
+        chaos = self._chaos
         backoff = Backoff(
             self.options.backoff_base_s,
             self.options.backoff_cap_s,
             seed=seed,
         )
-        faults = list(faults or [])
         backoff_s = 0.0
-        first = first_error
         last = first_error
-        attempt = attempts_used
-        while attempt <= self.max_retries:
-            if attempt > 0:
-                backoff_s += backoff.wait(attempt)
-            kind = plan.fault_for(seed, attempt) if plan is not None else None
+        retries = self.options.max_retries
+        for attempt in range(1, retries + 1):
+            backoff_s += backoff.wait(attempt)
+            kind = chaos.fault_for(seed, attempt) if chaos is not None else None
+            if kind is not None:
+                # In-process execution is certain: the fault will run.
+                faults.append(kind.value)
             try:
-                result = self._invoke(instance, config, seed, attempt, backend)
-                self._validate(instance, result, backend)
-                if kind is not None:
-                    # In-process execution is certain: the scheduled
-                    # fault ran (a hang slept, then solved clean).
-                    faults.append(kind.value)
-                if breaker is not None:
-                    breaker.record_success()
-                return result, RunTelemetry.from_result(
-                    seed,
-                    result,
-                    reference,
-                    retries=attempt,
-                    worker=f"{worker_prefix}serial{worker_suffix}",
-                    faults_injected=faults,
-                    backoff_s=backoff_s,
-                    first_error=repr(first) if first is not None else "",
+                (result,) = _solve_unit(
+                    work.backend, work.plan, [seed], chaos, attempt
                 )
+                work.impl.validate_result(work.plan.problem, result)
             except AnnealerError:
                 raise  # configuration errors are not transient: fail loud
             except Exception as exc:  # noqa: BLE001 — isolate worker faults
-                if kind is not None:
-                    faults.append(kind.value)
-                first = first if first is not None else exc
                 last = exc
-                attempt += 1
-        if breaker is not None:
-            breaker.record_failure()
-        if self.strict:
+                continue
+            if work.breaker is not None:
+                work.breaker.record_success()
+            return result, RunTelemetry.from_result(
+                seed,
+                result,
+                work.reference,
+                retries=attempt,
+                worker=work.worker("serial"),
+                faults_injected=faults,
+                backoff_s=backoff_s,
+                first_error=repr(first_error),
+            )
+        if work.breaker is not None:
+            work.breaker.record_failure()
+        if self.options.strict:
             raise AnnealerError(
                 f"run for seed {seed} failed after "
-                f"{self.max_retries + 1} attempts: {last!r}"
+                f"{retries + 1} attempts: {last!r}"
             )
         return None, RunTelemetry.from_failure(
             seed,
-            last or RuntimeError("unknown failure"),
-            retries=attempt,
-            worker=f"{worker_prefix}serial{worker_suffix}",
+            last,
+            retries=retries + 1,
+            worker=work.worker("serial"),
             faults_injected=faults,
             backoff_s=backoff_s,
-            first_error=repr(first) if first is not None else "",
+            first_error=repr(first_error),
         )
-
-    def _run_serial(
-        self,
-        instance: "ProblemLike",
-        seeds: List[int],
-        config: Optional[AnnealerConfig],
-        reference: Optional[float],
-        mode: str = "serial",
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Tuple[Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str]:
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        for done, seed in enumerate(seeds):
-            self._check_cancel(cancel, done, len(seeds))
-            self._check_breaker(breaker, seed)
-            by_seed[seed] = self._attempt_serial(
-                instance,
-                seed,
-                config,
-                reference,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                breaker=breaker,
-                backend=backend,
-            )
-            self._emit(on_run_complete, by_seed[seed][1])
-        return by_seed, mode
-
-    # -- batched dispatch ----------------------------------------------
-    def _batch_groups(self, seeds: List[int]) -> List[List[int]]:
-        """Slice the ordered seeds into ``batch_size`` worker claims."""
-        batch = self.options.batch_size
-        return [seeds[i : i + batch] for i in range(0, len(seeds), batch)]
-
-    def _settle_batch(
-        self,
-        instance: TSPInstance,
-        group: List[int],
-        results: List[AnnealResult],
-        config: AnnealerConfig,
-        reference: Optional[float],
-        worker: str,
-        *,
-        on_run_complete: Optional[RunCallback],
-        worker_prefix: str,
-        worker_suffix: str,
-        breaker: Optional[CircuitBreaker],
-    ) -> Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]]:
-        """Per-seed validation + telemetry for one batched solve.
-
-        One :class:`RunTelemetry` per seed, exactly like the unbatched
-        paths; a seed whose payload fails integrity validation is
-        retried through the ordinary serial path.
-        """
-        settled: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        for seed, result in zip(group, results):
-            try:
-                validate_result(instance, result)
-            except AnnealerError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — isolate worker faults
-                settled[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    first_error=exc,
-                    attempts_used=1,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                )
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                settled[seed] = (
-                    result,
-                    RunTelemetry.from_result(
-                        seed,
-                        result,
-                        reference,
-                        worker=f"{worker_prefix}{worker}{worker_suffix}",
-                    ),
-                )
-            self._emit(on_run_complete, settled[seed][1])
-        return settled
-
-    def _run_serial_batched(
-        self,
-        instance: TSPInstance,
-        seeds: List[int],
-        config: AnnealerConfig,
-        reference: Optional[float],
-        mode: str = "serial",
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> Tuple[Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str]:
-        """In-process batched loop: one ``solve_batch`` per seed group."""
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        done = 0
-        for group in self._batch_groups(seeds):
-            self._check_cancel(cancel, done, len(seeds))
-            for seed in group:
-                self._check_breaker(breaker, seed)
-            try:
-                results = _solve_batch(instance, config, group)
-            except AnnealerError:
-                raise  # configuration errors are not transient: fail loud
-            except Exception as exc:  # noqa: BLE001 — isolate worker faults
-                for seed in group:
-                    by_seed[seed] = self._attempt_serial(
-                        instance,
-                        seed,
-                        config,
-                        reference,
-                        first_error=exc,
-                        attempts_used=1,
-                        worker_prefix=worker_prefix,
-                        worker_suffix=worker_suffix,
-                        breaker=breaker,
-                    )
-                    self._emit(on_run_complete, by_seed[seed][1])
-            else:
-                by_seed.update(
-                    self._settle_batch(
-                        instance,
-                        group,
-                        results,
-                        config,
-                        reference,
-                        "serial",
-                        on_run_complete=on_run_complete,
-                        worker_prefix=worker_prefix,
-                        worker_suffix=worker_suffix,
-                        breaker=breaker,
-                    )
-                )
-            done += len(group)
-        return by_seed, mode
-
-    def _run_pool_batched(
-        self,
-        instance: TSPInstance,
-        seeds: List[int],
-        config: AnnealerConfig,
-        reference: Optional[float],
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        pool: Optional["Executor"] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        on_pool_broken: Optional[PoolHealer] = None,
-    ) -> Tuple[
-        Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str, int
-    ]:
-        """Pool dispatch where each worker claims a batch of seeds.
-
-        One future per seed group; a group whose future times out,
-        crashes, or is refused falls back to the ordinary per-seed
-        serial retry path, so failure isolation and telemetry framing
-        are unchanged — only the happy path is batched.  The per-run
-        ``timeout_s`` budget scales by the group size.
-        """
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        supervisor = _PoolSupervisor(
-            pool,
-            max_workers=self.max_workers,
-            budget=self.options.self_heal_budget,
-            on_pool_broken=on_pool_broken,
-        )
-        if supervisor.owns_pool and not supervisor.build():
-            by_seed, mode = self._run_serial_batched(
-                instance,
-                seeds,
-                config,
-                reference,
-                mode="serial-fallback",
-                on_run_complete=on_run_complete,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-            )
-            return by_seed, mode, supervisor.rebuilds
-
-        groups = self._batch_groups(seeds)
-        chunk = self.chunk_size or max(1, 2 * self.max_workers)
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        degraded = False
-        done = 0
-
-        def run_group_serially(group: List[int]) -> None:
-            nonlocal done
-            for seed in group:
-                self._check_cancel(cancel, done, len(seeds))
-                self._check_breaker(breaker, seed)
-                by_seed[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                )
-                self._emit(on_run_complete, by_seed[seed][1])
-                done += 1
-
-        def fail_group(group: List[int], exc: BaseException) -> None:
-            nonlocal done
-            for seed in group:
-                by_seed[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    first_error=exc,
-                    attempts_used=1,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                )
-                self._emit(on_run_complete, by_seed[seed][1])
-                done += 1
-
-        try:
-            for lo in range(0, len(groups), chunk):
-                self._check_cancel(cancel, done, len(seeds))
-                wave = groups[lo : lo + chunk]
-                if degraded:
-                    for group in wave:
-                        run_group_serially(group)
-                    continue
-                wave_pool = supervisor.pool
-                assert wave_pool is not None
-                futures: Dict[int, "Future[List[AnnealResult]]"] = {}
-                try:
-                    for gi, group in enumerate(wave):
-                        futures[gi] = wave_pool.submit(
-                            _solve_batch, instance, config, list(group)
-                        )
-                    refused = False
-                # A borrowed pool can be shut down or broken by a
-                # sibling job mid-flight; heal or degrade, then finish
-                # the wave serially (already-submitted futures are
-                # abandoned: reruns are deterministic per seed).
-                except Exception:  # repro-lint: ignore[RL005]
-                    refused = True
-                if refused:
-                    if not supervisor.heal():
-                        degraded = True
-                    for group in wave:
-                        run_group_serially(group)
-                    continue
-                pool_broke = False
-                for gi, fut in futures.items():
-                    group = wave[gi]
-                    for seed in group:
-                        self._check_breaker(breaker, seed)
-                    budget = (
-                        None
-                        if self.timeout_s is None
-                        else self.timeout_s * len(group)
-                    )
-                    try:
-                        results = fut.result(timeout=budget)
-                    except FuturesTimeout:
-                        hung = not fut.cancel()
-                        if hung:
-                            supervisor.note_hung(fut)
-                        fail_group(
-                            group,
-                            TimeoutError(
-                                f"batch of {len(group)} runs exceeded "
-                                f"{budget}s in pool"
-                            ),
-                        )
-                        continue
-                    except AnnealerError:
-                        raise
-                    except Exception as exc:  # worker crash / broken pool
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broke = True
-                        fail_group(group, exc)
-                        continue
-                    by_seed.update(
-                        self._settle_batch(
-                            instance,
-                            group,
-                            results,
-                            config,
-                            reference,
-                            "pool",
-                            on_run_complete=on_run_complete,
-                            worker_prefix=worker_prefix,
-                            worker_suffix=worker_suffix,
-                            breaker=breaker,
-                        )
-                    )
-                    done += len(group)
-                if pool_broke or supervisor.starved():
-                    if not supervisor.heal():
-                        degraded = True
-        finally:
-            supervisor.shutdown()
-        mode = "serial-fallback" if degraded else "parallel"
-        return by_seed, mode, supervisor.rebuilds
-
-    # ------------------------------------------------------------------
-    def _submit_wave(
-        self,
-        supervisor: _PoolSupervisor,
-        wave: List[int],
-        instance: "ProblemLike",
-        config: Optional[AnnealerConfig],
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Optional[Dict[int, "Future[RunResultLike]"]]:
-        """Submit one dispatch wave; None when the pool refuses.
-
-        A partial submission (pool breaking mid-wave) abandons the
-        already-submitted futures — their seeds are re-run serially by
-        the caller, which is deterministic because every run is a pure
-        function of its seed.
-        """
-        pool = supervisor.pool
-        assert pool is not None
-        plan = self._plan
-        try:
-            if not _default_path(instance, backend):
-                if plan is not None:
-                    return {
-                        seed: pool.submit(
-                            _solve_backend_injected,
-                            backend,
-                            instance,
-                            config,
-                            seed,
-                            plan,
-                            0,
-                            True,
-                        )
-                        for seed in wave
-                    }
-                return {
-                    seed: pool.submit(
-                        _solve_backend_one, backend, instance, config, seed
-                    )
-                    for seed in wave
-                }
-            from repro.tsp.instance import TSPInstance
-
-            assert isinstance(instance, TSPInstance)
-            assert config is not None
-            if plan is not None:
-                return {
-                    seed: pool.submit(
-                        _solve_one_injected,
-                        instance,
-                        config,
-                        seed,
-                        plan,
-                        0,
-                        True,
-                    )
-                    for seed in wave
-                }
-            return {
-                seed: pool.submit(_solve_one, instance, config, seed)
-                for seed in wave
-            }
-        # A borrowed pool can be shut down or broken by a sibling job
-        # mid-flight; the caller heals or degrades.
-        except Exception:  # repro-lint: ignore[RL005]
-            return None
 
     @staticmethod
     def _fault_observed(
@@ -1101,7 +741,6 @@ class EnsembleExecutor:
         fires), so injected-fault accounting for pool attempts goes by
         the observed outcome instead of the schedule alone.
         """
-        from concurrent.futures import TimeoutError as FuturesTimeout
         from concurrent.futures.process import BrokenProcessPool
 
         if kind is None:
@@ -1115,174 +754,10 @@ class EnsembleExecutor:
             return True
         if isinstance(exc, ResultIntegrityError):
             return kind is FaultKind.CORRUPT
-        if isinstance(exc, FuturesTimeout):
+        if isinstance(exc, TimeoutError):
             # Only a *running* worker has executed its injected sleep;
             # a still-queued future timed out on queue wait instead.
             return kind is FaultKind.HANG and hung
         if isinstance(exc, BrokenProcessPool):
             return kind is FaultKind.BROKEN_POOL
         return False
-
-    def _run_pool(
-        self,
-        instance: "ProblemLike",
-        seeds: List[int],
-        config: Optional[AnnealerConfig],
-        reference: Optional[float],
-        *,
-        on_run_complete: Optional[RunCallback] = None,
-        pool: Optional["Executor"] = None,
-        worker_prefix: str = "",
-        worker_suffix: str = "",
-        cancel: Optional["Event"] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        on_pool_broken: Optional[PoolHealer] = None,
-        backend: str = _DEFAULT_BACKEND,
-    ) -> Tuple[
-        Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]], str, int
-    ]:
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        supervisor = _PoolSupervisor(
-            pool,
-            max_workers=self.max_workers,
-            budget=self.options.self_heal_budget,
-            on_pool_broken=on_pool_broken,
-        )
-        if supervisor.owns_pool and not supervisor.build():
-            by_seed, mode = self._run_serial(
-                instance,
-                seeds,
-                config,
-                reference,
-                mode="serial-fallback",
-                on_run_complete=on_run_complete,
-                worker_prefix=worker_prefix,
-                worker_suffix=worker_suffix,
-                cancel=cancel,
-                breaker=breaker,
-                backend=backend,
-            )
-            return by_seed, mode, supervisor.rebuilds
-
-        plan = self._plan
-        by_seed: Dict[int, Tuple[Optional[RunResultLike], RunTelemetry]] = {}
-        chunk = self.chunk_size or max(1, 2 * self.max_workers)
-        degraded = False
-
-        def run_wave_serially(lo: int, wave: List[int]) -> None:
-            for offset, seed in enumerate(wave):
-                self._check_cancel(cancel, lo + offset, len(seeds))
-                self._check_breaker(breaker, seed)
-                by_seed[seed] = self._attempt_serial(
-                    instance,
-                    seed,
-                    config,
-                    reference,
-                    worker_prefix=worker_prefix,
-                    worker_suffix=worker_suffix,
-                    breaker=breaker,
-                    backend=backend,
-                )
-                self._emit(on_run_complete, by_seed[seed][1])
-
-        try:
-            for lo in range(0, len(seeds), chunk):
-                self._check_cancel(cancel, lo, len(seeds))
-                wave = seeds[lo : lo + chunk]
-                if degraded:
-                    run_wave_serially(lo, wave)
-                    continue
-                futures = self._submit_wave(
-                    supervisor, wave, instance, config, backend
-                )
-                if futures is None:
-                    # The pool refused the wave (broken / shut down by a
-                    # sibling): heal it for the *next* wave if the
-                    # budget allows, and finish this one serially.
-                    if not supervisor.heal():
-                        degraded = True
-                    run_wave_serially(lo, wave)
-                    continue
-                pool_broke = False
-                for seed, fut in futures.items():
-                    self._check_breaker(breaker, seed)
-                    kind = plan.fault_for(seed, 0) if plan is not None else None
-                    try:
-                        result = fut.result(timeout=self.timeout_s)
-                        self._validate(instance, result, backend)
-                        if breaker is not None:
-                            breaker.record_success()
-                        by_seed[seed] = (
-                            result,
-                            RunTelemetry.from_result(
-                                seed,
-                                result,
-                                reference,
-                                worker=f"{worker_prefix}pool{worker_suffix}",
-                                faults_injected=(
-                                    [kind.value]
-                                    if self._fault_observed(kind, None, False)
-                                    else []
-                                ),
-                            ),
-                        )
-                    except FuturesTimeout as exc:
-                        # Reclaim the worker slot if the run never
-                        # started; a running (hung) worker cannot be
-                        # cancelled and occupies its slot until done.
-                        hung = not fut.cancel()
-                        if hung:
-                            supervisor.note_hung(fut)
-                        by_seed[seed] = self._attempt_serial(
-                            instance,
-                            seed,
-                            config,
-                            reference,
-                            first_error=TimeoutError(
-                                f"run exceeded {self.timeout_s}s in pool"
-                            ),
-                            attempts_used=1,
-                            worker_prefix=worker_prefix,
-                            worker_suffix=worker_suffix,
-                            faults=(
-                                [kind.value]
-                                if self._fault_observed(kind, exc, hung)
-                                else []
-                            ),
-                            breaker=breaker,
-                            backend=backend,
-                        )
-                    except AnnealerError:
-                        raise
-                    except Exception as exc:  # worker crash / broken pool
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broke = True
-                        by_seed[seed] = self._attempt_serial(
-                            instance,
-                            seed,
-                            config,
-                            reference,
-                            first_error=exc,
-                            attempts_used=1,
-                            worker_prefix=worker_prefix,
-                            worker_suffix=worker_suffix,
-                            faults=(
-                                [kind.value]
-                                if self._fault_observed(kind, exc, False)
-                                else []
-                            ),
-                            breaker=breaker,
-                            backend=backend,
-                        )
-                    self._emit(on_run_complete, by_seed[seed][1])
-                if pool_broke or supervisor.starved():
-                    # Self-heal: replace the broken/starved pool within
-                    # the budget instead of degrading for good.
-                    if not supervisor.heal():
-                        degraded = True
-        finally:
-            supervisor.shutdown()
-        mode = "serial-fallback" if degraded else "parallel"
-        return by_seed, mode, supervisor.rebuilds

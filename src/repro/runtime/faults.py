@@ -13,8 +13,8 @@ same way write-back recovers the weight state.
   function of ``(plan.seed, seed, attempt)``, so the dispatching
   parent can account for every injected fault without any side channel
   from the worker, and a chaos run is reproducible from one seed.
-* :class:`FaultInjector` — executes the plan inside
-  :func:`repro.runtime.executor._solve_one_injected`: raises for
+* :class:`FaultInjector` — executes the plan around each solve in
+  :func:`repro.runtime.executor._solve_unit`: raises for
   crashes, sleeps through hangs, tampers results for corruption, and
   kills the worker process for broken-pool faults.
 * :func:`validate_result` — the integrity gate at the pool boundary:
@@ -319,7 +319,7 @@ class ShardFaultPlan:
 class FaultInjector:
     """Executes a :class:`FaultPlan` around one solve attempt.
 
-    Lives worker-side: :func:`repro.runtime.executor._solve_one_injected`
+    Lives worker-side: :func:`repro.runtime.executor._solve_unit`
     builds one per attempt from the (picklable) plan and calls
     :meth:`pre_solve` before and :meth:`post_solve` after the real
     solve.

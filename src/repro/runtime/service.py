@@ -42,6 +42,7 @@ import asyncio
 import itertools
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
@@ -436,46 +437,14 @@ class AnnealingService:
     def _run_job(self, job: Job) -> None:
         """Job body; runs on a ``repro-job`` thread, never raises."""
         if job._cancel_event.is_set():
-            if job._deadline_hit:
-                self._post(
-                    job._finish,
-                    JobState.FAILED,
-                    None,
-                    DeadlineExceededError(
-                        f"job {job.job_id} deadline of "
-                        f"{job.request.deadline_s}s expired before start"
-                    ),
-                )
-                return
-            self._post(
-                job._finish,
-                JobState.CANCELLED,
-                None,
-                AnnealerError(f"job {job.job_id} cancelled before start"),
-            )
+            self._settle_cancelled(job, "before start")
             return
         self._post(job._mark_running)
         try:
             result = self._execute(job)
-            self._post(job._finish, JobState.DONE, result, None)
         except AnnealerError as exc:
-            if job._deadline_hit:
-                self._post(
-                    job._finish,
-                    JobState.FAILED,
-                    None,
-                    DeadlineExceededError(
-                        f"job {job.job_id} deadline of "
-                        f"{job.request.deadline_s}s expired mid-solve: {exc}"
-                    ),
-                )
-            elif job._cancel_event.is_set():
-                self._post(
-                    job._finish,
-                    JobState.CANCELLED,
-                    None,
-                    AnnealerError(f"job {job.job_id} cancelled: {exc}"),
-                )
+            if job._cancel_event.is_set():
+                self._settle_cancelled(job, f"mid-solve: {exc}")
             else:
                 self._post(job._finish, JobState.FAILED, None, exc)
         # The job boundary is the last line of defence: any fault must
@@ -483,6 +452,25 @@ class AnnealingService:
         # kill the service thread silently.
         except Exception as exc:  # repro-lint: ignore[RL005]
             self._post(job._finish, JobState.FAILED, None, exc)
+        else:
+            # A cancel (or deadline) that landed while the last seed
+            # ran still wins: the request came before the job settled.
+            if job._cancel_event.is_set():
+                self._settle_cancelled(job, "after the last run")
+            else:
+                self._post(job._finish, JobState.DONE, result, None)
+
+    def _settle_cancelled(self, job: Job, when: str) -> None:
+        """Settle a job whose cancel event is set: deadline or cancel."""
+        if job._deadline_hit:
+            error: AnnealerError = DeadlineExceededError(
+                f"job {job.job_id} deadline of "
+                f"{job.request.deadline_s}s expired {when}"
+            )
+            self._post(job._finish, JobState.FAILED, None, error)
+        else:
+            error = AnnealerError(f"job {job.job_id} cancelled {when}")
+            self._post(job._finish, JobState.CANCELLED, None, error)
 
     def _execute(self, job: Job) -> "EnsembleResult":
         """One ensemble on the shared fabric (job thread)."""
@@ -538,7 +526,10 @@ class AnnealingService:
         """Completion callback bridging the job thread to the loop."""
 
         def post(record: RunTelemetry) -> None:
-            self._post(job._post_record, record)
+            # A run that finished after the cancel is not streamed: the
+            # job settles CANCELLED with the records it had before.
+            if not job._cancel_event.is_set():
+                self._post(job._post_record, record)
 
         return post
 
@@ -554,21 +545,7 @@ class AnnealingService:
         width = self.options.max_workers
         cap = requested.effective_inflight_per_job
         chunk = min(requested.chunk_size or max(1, 2 * width), cap)
-        return EnsembleOptions(
-            max_workers=width,
-            timeout_s=requested.timeout_s,
-            max_retries=requested.max_retries,
-            chunk_size=chunk,
-            strict=requested.strict,
-            max_inflight_per_job=requested.max_inflight_per_job,
-            max_pending_jobs=requested.max_pending_jobs,
-            backoff_base_s=requested.backoff_base_s,
-            backoff_cap_s=requested.backoff_cap_s,
-            self_heal_budget=requested.self_heal_budget,
-            breaker_threshold=requested.breaker_threshold,
-            fault_plan=requested.fault_plan,
-            batch_size=requested.batch_size,
-        )
+        return replace(requested, max_workers=width, chunk_size=chunk)
 
     def _heal_pool(
         self, broken: "ProcessPoolExecutor"

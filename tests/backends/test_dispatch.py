@@ -21,11 +21,54 @@ from repro.errors import AnnealerError
 from repro.ising.schedule import VddSchedule
 from repro.ising.simcim import random_ising_model
 from repro.maxcut.generators import gset_style
-from repro.runtime.options import SolveRequest
+from repro.problems import make_problem
+from repro.runtime.executor import EnsembleExecutor
+from repro.runtime.faults import FaultKind, FaultPlan
+from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.tsp.generators import random_uniform
 from repro.tsp.reference import reference_length
 
 SEEDS = (3, 1, 2)
+
+#: One named backend per non-TSP payload kind: (backend, problem factory).
+NAMED = [
+    pytest.param(
+        "simcim", lambda: random_ising_model(16, seed=6), id="simcim-ising"
+    ),
+    pytest.param("maxcut-sb", lambda: gset_style(30, seed=4), id="maxcut-sb"),
+    pytest.param(
+        "dense-ising",
+        lambda: make_problem("coloring", 6, seed=2).to_qubo(),
+        id="dense-ising-qubo",
+    ),
+]
+
+#: Deliberately unsorted: output must follow input order.
+NAMED_SEEDS = [5, 3, 0, 7, 1, 6, 2, 4]
+
+
+def chaos_plan() -> FaultPlan:
+    """The first chaos seed whose plan crashes, hangs *and* corrupts at
+    least one first attempt over ``NAMED_SEEDS``, so accounting is never
+    vacuous."""
+    for chaos_seed in range(1000):
+        plan = FaultPlan(
+            seed=chaos_seed,
+            crash_rate=0.2,
+            corrupt_rate=0.2,
+            hang_rate=0.1,
+            hang_s=0.02,
+        )
+        kinds = {plan.fault_for(s, 0) for s in NAMED_SEEDS}
+        if {FaultKind.CRASH, FaultKind.CORRUPT, FaultKind.HANG} <= kinds:
+            return plan
+    raise AssertionError("no chaos seed below 1000 hits every fault kind")
+
+
+def assert_bit_identical(ours, theirs):
+    assert [r.length for r in ours] == [r.length for r in theirs]
+    for a, b in zip(ours, theirs):
+        assert np.array_equal(a.tour, b.tour)
 
 
 @pytest.fixture
@@ -128,6 +171,62 @@ class TestNamedBackendDispatch:
         assert [r.length for r in first.results] == [
             r.length for r in again.results
         ]
+
+    @pytest.mark.parametrize("backend, make", NAMED)
+    def test_pool_dispatch_bit_identical_to_serial(self, backend, make):
+        problem = make()
+        serial, _ = EnsembleExecutor(EnsembleOptions(max_workers=1)).run(
+            problem, NAMED_SEEDS, backend=backend
+        )
+        pooled, tel = EnsembleExecutor(EnsembleOptions(max_workers=2)).run(
+            problem, NAMED_SEEDS, backend=backend
+        )
+        assert tel.mode == "parallel" and tel.backend == backend
+        assert [t.seed for t in tel.runs] == NAMED_SEEDS
+        assert all(
+            t.ok and t.worker == "pool" and t.backend == backend
+            for t in tel.runs
+        )
+        assert_bit_identical(pooled, serial)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("backend, make", NAMED)
+    def test_chaos_recovers_bit_identical_and_accounted(
+        self, backend, make, workers
+    ):
+        problem = make()
+        clean, _ = EnsembleExecutor(EnsembleOptions(max_workers=1)).run(
+            problem, NAMED_SEEDS, backend=backend
+        )
+        plan = chaos_plan()
+        results, tel = EnsembleExecutor(
+            EnsembleOptions(
+                max_workers=workers,
+                max_retries=2,
+                backoff_base_s=0.0,
+                fault_plan=plan,
+            )
+        ).run(problem, NAMED_SEEDS, backend=backend)
+        assert tel.n_failed == 0
+        assert_bit_identical(results, clean)
+        # Without timeouts every fault runs to an observable outcome,
+        # in-process and in the pool alike: accounting is exact.
+        for run in tel.runs:
+            assert tuple(run.faults_injected) == plan.faults_for_run(
+                run.seed, run.retries + 1
+            )
+            if {"crash", "corrupt"} & set(run.faults_injected):
+                assert run.retries >= 1 and run.first_error
+            else:
+                assert run.retries == 0
+        by_kind = tel.faults_by_kind
+        assert by_kind.get("crash", 0) > 0
+        assert by_kind.get("corrupt", 0) > 0
+        assert by_kind.get("hang", 0) > 0
+        expected_worker = "serial" if workers == 1 else "pool"
+        assert all(
+            t.worker == expected_worker for t in tel.runs if t.retries == 0
+        )
 
 
 class TestRequestValidation:

@@ -498,6 +498,26 @@ class TestBatchedDispatch:
         assert len(results) == len(SEEDS)
         assert all(t.ok for t in tel.runs)
 
+    def test_backend_decides_batching(self, monkeypatch):
+        # cluster-cim batches TSP plans only: a QUBO plan on the same
+        # backend runs per seed whatever batch_size asks for.
+        import repro.runtime.executor as executor_mod
+        from repro.problems import make_problem
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("batched path used for a QUBO plan")
+
+        monkeypatch.setattr(executor_mod, "_solve_batch", forbidden)
+        qubo = make_problem("coloring", 6, seed=2).to_qubo()
+        oracle, _ = EnsembleExecutor().run(qubo, SEEDS)
+        results, tel = EnsembleExecutor(
+            EnsembleOptions(batch_size=3)
+        ).run(qubo, SEEDS)
+        assert all(t.ok and t.worker == "serial" for t in tel.runs)
+        for a, b in zip(oracle, results):
+            assert np.array_equal(a.tour, b.tour)
+            assert a.length == b.length
+
     def test_pool_unavailable_degrades_to_serial_batched(
         self, instance, monkeypatch
     ):
