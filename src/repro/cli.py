@@ -689,8 +689,14 @@ async def _stream_solve(request: "SolveRequest") -> "EnsembleResult":
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the HTTP/SSE gateway in the foreground until interrupted."""
+    """Run the HTTP/SSE gateway in the foreground until interrupted.
+
+    Ctrl-C cancels in-flight jobs; SIGTERM (``kill``) stops accepting
+    connections and drains them.  Either way the shards shut their
+    worker pools down before the process exits.
+    """
     import asyncio
+    import signal
 
     from repro.gateway import GatewayServer, ShardRouter
     from repro.runtime.options import EnsembleOptions
@@ -720,7 +726,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "DELETE /v1/jobs/{id}   GET /metrics   GET /healthz   "
                 "GET /readyz"
             )
-            await server.serve_forever()
+            serving = asyncio.ensure_future(server.serve_forever())
+            terminated = asyncio.Event()
+
+            def on_sigterm() -> None:
+                terminated.set()
+                serving.cancel()
+
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGTERM, on_sigterm
+            )
+            try:
+                await serving
+            except asyncio.CancelledError:
+                if not terminated.is_set():
+                    raise  # Ctrl-C: exit without draining
+        print("gateway  : terminated; shards drained")
 
     try:
         asyncio.run(run())

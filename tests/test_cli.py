@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -444,6 +446,92 @@ class TestServeSubmitFlags:
                 ["submit", "--url", "http://127.0.0.1:1",
                  "--deadline", "soon"]
             )
+
+
+def _child_pids(pid: int) -> list:
+    """Live (non-zombie) children of ``pid``, read from /proc."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads the process table"
+)
+class TestServeShutdown:
+    def test_sigterm_shuts_pool_workers_down(self):
+        # ``kill`` on a live ``repro serve`` must end serving, leave the
+        # gateway context and so shut the shard's worker pool down:
+        # three processes in all (server + two pool workers).
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+        from repro.annealer.config import AnnealerConfig
+        from repro.gateway import GatewayClient
+        from repro.ising.schedule import VddSchedule
+        from repro.runtime.options import SolveRequest
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--shards", "1", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        workers: list = []
+        try:
+            url = proc.stdout.readline().split()[2]
+            request = SolveRequest.build(
+                random_uniform(12, seed=1),
+                [1, 2],
+                config=AnnealerConfig(
+                    schedule=VddSchedule(
+                        total_iterations=40, iterations_per_step=10
+                    )
+                ),
+            )
+            client = GatewayClient(url)
+            handle = client.submit(request)
+            assert client.result(handle["job_id"])["state"] == "done"
+            workers = _child_pids(proc.pid)
+            assert workers, "the job should have started the worker pool"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+            deadline = time.monotonic() + 10.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestSolveChaos:

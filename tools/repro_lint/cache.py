@@ -9,9 +9,6 @@ depends on:
 * the file's **content digest** — any edit invalidates it;
 * the **active rule set** (sorted codes) — ``--select``/``--ignore``
   changes and newly registered rules invalidate it;
-* the **project fingerprint** — cross-file rules (RL009) read facts
-  from *other* modules, so editing ``options.py`` must invalidate the
-  cached verdict for ``protocol.py`` too;
 * the **engine cache version** — bumped when rule semantics change.
 
 The cache stores violations only; suppression accounting happens
@@ -33,7 +30,7 @@ CACHE_SCHEMA = "repro_lint.cache/v1"
 
 #: Bump when rule or engine semantics change in a way that should
 #: invalidate previously cached verdicts wholesale.
-ENGINE_CACHE_VERSION = "2"
+ENGINE_CACHE_VERSION = "3"
 
 
 def file_digest(data: bytes) -> str:
@@ -42,22 +39,11 @@ def file_digest(data: bytes) -> str:
 
 
 def cache_key(
-    rel_path: str,
-    path_str: str,
-    digest: str,
-    rules_signature: str,
-    project_fingerprint: str,
+    rel_path: str, path_str: str, digest: str, rules_signature: str
 ) -> str:
     """Composite key for one file's cached verdict."""
     blob = "\x00".join(
-        (
-            ENGINE_CACHE_VERSION,
-            rel_path,
-            path_str,
-            digest,
-            rules_signature,
-            project_fingerprint,
-        )
+        (ENGINE_CACHE_VERSION, rel_path, path_str, digest, rules_signature)
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
